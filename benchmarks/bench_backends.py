@@ -1,17 +1,18 @@
-"""PR-10 grid-backend benchmark: memory vs error vs latency per backend.
+"""Grid-backend benchmark: memory vs latency per backend.
 
-Writes ``BENCH_pr10.json`` at the repository root with three sections:
+Writes ``.bench_build/BENCH_pr10.json`` (the git-ignored build
+directory; the committed ``BENCH_pr10.json`` at the repository root is
+the frozen record) with three sections:
 
 ``quadrant_10k``
     The quadrant diagram at n=10k over an integer domain of 1024: dense
-    / rle / quad measured side by side — store bytes, grid bytes, build
-    seconds, batch-lookup p50, and the quad backend's measured error.
-    The honest headline: the *exact* quadrant diagram in rank space
-    averages about two cells per region (the candidate leaving a row's
-    scan always sits on the restricted skyline, so almost every grid
-    line is a region boundary), which means neither run-length rows nor
-    quadtree merging can compress it — RLE lands near 1–2x dense and
-    quad refuses to merge at any useful epsilon.  The numbers say so.
+    and rle measured side by side — store bytes, grid bytes, build
+    seconds and batch-lookup p50.  The honest headline: the quadrant
+    diagram in rank space averages about two cells per region (the
+    candidate leaving a row's scan always sits on the restricted
+    skyline, so almost every grid line is a region boundary), which
+    means run-length rows cannot compress it — RLE lands near 1–2x
+    dense.  The numbers say so.
 
 ``dynamic_rle``
     Where the RLE backend earns its keep: the dynamic diagram's subcell
@@ -65,10 +66,8 @@ def quadrant_10k(n: int, domain: int, query_count: int) -> dict:
     ]
     arms: dict[str, dict] = {}
     dense_store = None
-    for backend in ("dense", "rle", "quad"):
-        options = BuildOptions(
-            backend=backend, executor="vectorized", quad_error=0.1
-        )
+    for backend in ("dense", "rle"):
+        options = BuildOptions(backend=backend, executor="vectorized")
         gc.collect()
         started = time.perf_counter()
         diagram = quadrant_scanning(points, build_options=options)
@@ -79,7 +78,6 @@ def quadrant_10k(n: int, domain: int, query_count: int) -> dict:
             "grid_nbytes": int(store.backend.nbytes()),
             "build_s": build_s,
             "lookup_p50_s": _lookup_p50(diagram, queries),
-            "error": store.approx_error,
         }
         if backend == "dense":
             dense_store = store
@@ -98,9 +96,9 @@ def quadrant_10k(n: int, domain: int, query_count: int) -> dict:
         "queries": query_count,
         "backends": arms,
         "note": (
-            "exact quadrant diagram in rank space: ~1 region per 2 "
-            "cells, so no per-cell encoding compresses it; rle/quad "
-            "ratios near or above 1.0 are the honest result"
+            "quadrant diagram in rank space: ~1 region per 2 cells, "
+            "so run-length rows do not compress it; an rle ratio near "
+            "or above 1.0 is the honest result"
         ),
     }
 
@@ -150,7 +148,7 @@ def scale_100k(n: int, domain: int) -> dict:
         "why": (
             "the exact diagram has ~n^2/2 regions at full precision; "
             "dense and rle both need ~40 GB at n=100k — quantize the "
-            "domain or accept approximation"
+            "domain"
         ),
     }
     # Quantized to dom=1024 the grid caps at ~1M cells: measure for real.
@@ -181,7 +179,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--out",
         type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_pr10.json",
+        default=Path(__file__).resolve().parent.parent
+        / ".bench_build"
+        / "BENCH_pr10.json",
+        help="output JSON path (default: .bench_build/BENCH_pr10.json)",
     )
     parser.add_argument(
         "--quick",

@@ -8,9 +8,11 @@ the array-store engine —
 * a 10k-query workload answered with ``query_batch`` vs per-point
   ``query`` on the same diagram —
 
-and writes the results to ``BENCH_pr1.json`` at the repository root,
-plus ``BENCH_pr4.json`` with the build-pipeline arms: serial vs
-process-pool construction at n=2000 (fingerprints asserted identical)
+and writes the results to ``BENCH_pr1.json`` in the git-ignored
+``.bench_build/`` directory (the committed ``BENCH_pr*.json`` files at
+the repository root are the frozen record), plus ``BENCH_pr4.json``
+with the build-pipeline arms: serial vs process-pool construction at
+n=2000 (fingerprints asserted identical)
 and the per-phase ``BuildReport`` breakdown.  ``cpu_count`` is recorded
 alongside — on a single-core machine the process pool cannot win on
 wall clock and the numbers say so honestly.  ``BENCH_pr5.json`` adds
@@ -775,8 +777,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--out",
         type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_pr1.json",
-        help="output JSON path (default: repo-root BENCH_pr1.json)",
+        default=Path(__file__).resolve().parent.parent
+        / ".bench_build"
+        / "BENCH_pr1.json",
+        help="output JSON path; BENCH_pr4..pr9 land beside it "
+        "(default: .bench_build/BENCH_pr1.json)",
     )
     parser.add_argument(
         "--quick",

@@ -65,6 +65,7 @@ def env_metadata() -> dict[str, Any]:
 def save_json(path: str | Path, payload: dict[str, Any]) -> Path:
     """Write a benchmark result payload as indented JSON; returns the path."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -71,7 +71,7 @@ def _quadrant_registry(dataset: Dataset) -> dict:
 
 def _build_options(args: argparse.Namespace):
     """BuildOptions from ``--executor``/``--parallel``/``--chunk-rows``/
-    ``--backend``/``--quad-error``.
+    ``--backend``.
 
     Returns ``None`` when no build-shaping flag was given, so commands
     keep their zero-configuration default path.  ``--parallel N``
@@ -81,13 +81,11 @@ def _build_options(args: argparse.Namespace):
     parallel = getattr(args, "parallel", None)
     chunk_rows = getattr(args, "chunk_rows", None)
     backend = getattr(args, "backend", None)
-    quad_error = getattr(args, "quad_error", None)
     if (
         executor is None
         and parallel is None
         and chunk_rows is None
         and backend is None
-        and quad_error is None
     ):
         return None
     from repro.diagram.pipeline import BuildOptions
@@ -97,8 +95,6 @@ def _build_options(args: argparse.Namespace):
     kwargs: dict = {}
     if backend is not None:
         kwargs["backend"] = backend
-    if quad_error is not None:
-        kwargs["quad_error"] = quad_error
     return BuildOptions(
         executor=executor,
         workers=parallel,
@@ -197,14 +193,7 @@ def _update(args: argparse.Namespace) -> int:
             f"backend: {diagram.store.backend_kind} "
             f"(maintained via {report.backend_fallback})"
         )
-    if args.verify and diagram.store.approx_error is not None:
-        print(
-            "verify: skipped — approximate backend "
-            f"({diagram.store.backend_kind}, "
-            f"error={diagram.store.approx_error:.4f}) has no exact "
-            "fingerprint to compare"
-        )
-    elif args.verify:
+    if args.verify:
         from repro.diagram.quadrant_scanning import quadrant_scanning
 
         fresh = quadrant_scanning(diagram.grid.dataset)
@@ -410,20 +399,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--backend",
-        choices=("dense", "rle", "quad"),
+        choices=("dense", "rle"),
         default=None,
-        help="grid backend for the saved store: dense int32 array, "
-        "per-row run-length encoding (exact, byte-identical "
-        "fingerprint, mmaps zero-copy), or quadtree cell merging "
-        "(approximate within --quad-error)",
-    )
-    p.add_argument(
-        "--quad-error",
-        type=float,
-        default=None,
-        metavar="EPS",
-        help="mismatched-cell fraction tolerated by --backend quad "
-        "(default 0.05)",
+        help="grid backend for the saved store: dense int32 array or "
+        "per-row run-length encoding (byte-identical fingerprint, "
+        "mmaps zero-copy)",
     )
 
     p = sub.add_parser("query", help="answer a skyline query from a diagram")
@@ -475,17 +455,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--backend",
-        choices=("dense", "rle", "quad"),
+        choices=("dense", "rle"),
         default=None,
         help="grid backend for the updated store (default: keep the "
         "snapshot's backend)",
-    )
-    p.add_argument(
-        "--quad-error",
-        type=float,
-        default=None,
-        metavar="EPS",
-        help="error bound when converting to the quad backend",
     )
 
     p = sub.add_parser(
@@ -524,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--backend",
-        choices=("dense", "rle", "quad"),
+        choices=("dense", "rle"),
         default=None,
         help="convert the mapped store to this grid backend in every "
         "worker (default: serve the snapshot's backend as stored; "
@@ -739,8 +712,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         if store is not None and hasattr(store, "backend_kind"):
             print(f"backend: {store.backend_kind}")
             print(f"store_nbytes: {store.nbytes}")
-            if store.approx_error is not None:
-                print(f"approx_error: {store.approx_error:.4f}")
         return 0
     if args.command == "skyband":
         from repro.skyline.queries import quadrant_skyband

@@ -161,8 +161,8 @@ def global_diagram(
         algorithm = quadrant_scanning
     dim = dataset.dim
     ctx = BuildContext(budget, build_options, algorithm="global", kind="global")
-    # Sub-diagrams feed the dense combination merge (and a quad sub-build
-    # would be lossy before the union); only the merged store converts.
+    # Sub-diagrams feed the dense combination merge; only the merged
+    # store converts.
     sub_options = build_options
     if build_options is not None and build_options.backend != "dense":
         sub_options = dataclasses.replace(build_options, backend="dense")

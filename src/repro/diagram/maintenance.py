@@ -67,19 +67,14 @@ def _default_options(
     """Maintenance preserves the input store's backend unless told not to.
 
     With no explicit ``build_options`` an update of an RLE diagram stays
-    RLE (taking the run-domain path when eligible) and a quad diagram
-    re-merges at its own epsilon; passing options with a different
-    ``backend`` converts the updated store instead.
+    RLE (taking the run-domain path when eligible); passing options with
+    a different ``backend`` converts the updated store instead.
     """
     if build_options is not None:
         return build_options
     kind = diagram.store.backend_kind
     if kind == "dense":
         return None
-    if kind == "quad":
-        return BuildOptions(
-            backend="quad", quad_error=diagram.store.backend.epsilon
-        )
     return BuildOptions(backend=kind)
 
 
@@ -136,11 +131,8 @@ def _gather_block(
     for i, r in enumerate(xo):
         col = cache.get(r)
         if col is None:
-            if backend.kind == "rle":
-                vals, ends = backend.row_runs(r)
-                col = vals[np.searchsorted(ends, y_arr, side="right")]
-            else:
-                col = backend.row_view(r)[y_arr]
+            vals, ends = backend.row_runs(r)
+            col = vals[np.searchsorted(ends, y_arr, side="right")]
             cache[r] = col
         out[:, i] = col
     return out
@@ -442,9 +434,9 @@ def _rescan_update(
         and sx >= old_store.shape[0]
     )
     if old_store.backend_kind != "dense" and not direct_rle:
-        # Honest accounting: a compressed/approximate store that cannot
-        # take the run-domain path is densified here, modified, and
-        # recompressed to the target backend by ``ctx.finish``.
+        # Honest accounting: a compressed store that cannot take the
+        # run-domain path is densified here, modified, and recompressed
+        # to the target backend by ``ctx.finish``.
         ctx.report.backend_fallback = "densify"
     with ctx.phase("row_scan"):
         # Clean block first — it is the *top* of the scan order.  The

@@ -138,14 +138,11 @@ class BuildOptions:
         Optional sink called as ``telemetry(phase_name, payload)`` after
         every phase, with ``payload`` carrying at least ``seconds``.
     backend:
-        Grid backend for the finished store: ``"dense"`` (default),
-        ``"rle"`` (run-length compressed, content-identical to dense) or
-        ``"quad"`` (quadtree-merged, approximate within ``quad_error``).
+        Grid backend for the finished store: ``"dense"`` (default) or
+        ``"rle"`` (run-length compressed, content-identical to dense).
         Constructors that assemble a dense store are converted in
         ``BuildContext.finish``; the vectorized quadrant executor writes
         RLE runs natively, skipping the dense grid entirely.
-    quad_error:
-        Mismatched-cell fraction budget for ``backend="quad"``.
     """
 
     executor: str = "serial"
@@ -153,7 +150,6 @@ class BuildOptions:
     chunk_rows: int | None = None
     telemetry: Callable[[str, dict], None] | None = None
     backend: str = "dense"
-    quad_error: float = 0.05
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTORS:
@@ -169,10 +165,6 @@ class BuildOptions:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if not 0.0 <= self.quad_error < 1.0:
-            raise ValueError(
-                f"quad_error must be in [0, 1), got {self.quad_error}"
             )
 
 
@@ -472,9 +464,9 @@ class BuildContext:
 
         The single backend-conversion choke point: any constructor that
         assembled a dense store while the options asked for a compressed
-        or approximate one is converted here (timed as the ``backend``
-        phase), so every build path honours ``BuildOptions(backend=...)``
-        without per-constructor plumbing.  Paths that already produced
+        one is converted here (timed as the ``backend`` phase), so every
+        build path honours ``BuildOptions(backend=...)`` without
+        per-constructor plumbing.  Paths that already produced
         the target backend (the vectorized executor's native RLE runs)
         pass through untouched.
         """
@@ -486,9 +478,7 @@ class BuildContext:
             and store.backend_kind != target
         ):
             with self.phase("backend"):
-                diagram._store = store = store.convert(
-                    target, max_error=self.options.quad_error
-                )
+                diagram._store = store = store.convert(target)
             diagram._kernel = None
         self.report.elapsed = max(0.0, self._clock() - self._started)
         if store is not None:

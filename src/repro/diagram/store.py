@@ -18,7 +18,7 @@ of :class:`~repro.diagram.base.SkylineDiagram` and
 conversion (:meth:`to_dict`) views, so dict-producing construction
 algorithms keep working unchanged through :meth:`from_dict`.
 
-Three backends implement the id-grid contract:
+Two backends implement the id-grid contract:
 
 * :class:`DenseBackend` — the historical ``int32`` ndarray, zero-copy
   compatible with mmapped snapshots and the fused scalar lookup.
@@ -28,13 +28,6 @@ Three backends implement the id-grid contract:
   typically 10-100x smaller than dense and is how grids with ``O(n^2)``
   cells at n >= 100k stay representable at all.  Content-identical to
   dense: fingerprints match byte for byte.
-* :class:`QuadBackend` — quadtree cell merging with a per-node dominant
-  id and a *measured* error bound: a node collapses to a leaf when its
-  dominant id covers at least ``1 - max_error`` of its cells, so the
-  global mismatched-cell fraction is <= ``max_error`` by construction
-  (disjoint leaves each contribute <= ``max_error`` of their own area).
-  Lookups are approximate; the planner serves them from the ``approx``
-  tier with the measured error attached.
 """
 
 from __future__ import annotations
@@ -186,7 +179,7 @@ class PackedTable:
 
 
 #: Recognised grid backends, in `convert()`/`BuildOptions(backend=...)` order.
-BACKENDS = ("dense", "rle", "quad")
+BACKENDS = ("dense", "rle")
 
 
 def _table_nbytes(
@@ -228,18 +221,14 @@ class GridBackend:
     (the trailing axis; leading axes are flattened in C order), so the
     row-streaming default implementations of :meth:`fingerprint_section`
     and :meth:`to_dense` produce exactly the bytes of the dense C-order
-    array — which is what keeps fingerprints backend-independent for the
-    exact backends.
+    array — which is what keeps fingerprints backend-independent.
 
     Subclasses implement: ``id_at``, ``lookup_batch_ids``, ``row_view``,
     ``set_row_runs``, ``nbytes``, ``min_max``, ``mark_referenced``,
-    ``flip`` and ``copy``; ``exact`` is False for lossy backends (their
-    stores skip the unreferenced-table-slot audit and report a measured
-    :attr:`error`).
+    ``flip`` and ``copy``.
     """
 
     kind: str = "abstract"
-    exact: bool = True
     __slots__ = ("shape",)
 
     def __init__(self, shape: Sequence[int]) -> None:
@@ -262,11 +251,6 @@ class GridBackend:
         for extent in self.shape:
             cells *= extent
         return cells
-
-    @property
-    def error(self) -> float | None:
-        """Measured mismatched-cell fraction; ``None`` for exact backends."""
-        return None
 
     # -- the per-cell contract -----------------------------------------
     def id_at(self, cell: Cell) -> int:
@@ -693,211 +677,6 @@ class RLEBackend(GridBackend):
         )
 
 
-class QuadBackend(GridBackend):
-    """Quadtree cell merging with per-node dominant ids (2-D, lossy).
-
-    Built top-down from a dense grid: a node becomes a leaf carrying its
-    *dominant* id as soon as the dominant covers at least
-    ``1 - max_error`` of the node's cells (always true for single
-    cells), otherwise it splits at the midpoints.  Merged-away minority
-    cells are counted exactly during the build, so :attr:`error` is the
-    *measured* global mismatch fraction — <= ``max_error`` because the
-    leaves partition the grid and each contributes at most ``max_error``
-    of its own area.
-
-    ``children[node, q]`` is the child for quadrant ``q = 2 * xhalf +
-    yhalf`` (-1 when absent); ``node_ids[node]`` is the leaf id, -1 for
-    internal nodes.  Axes of extent 1 never split, mirroring the
-    descent in :meth:`id_at`.
-    """
-
-    kind = "quad"
-    exact = False
-    __slots__ = ("children", "node_ids", "epsilon", "mismatches")
-
-    def __init__(
-        self,
-        shape: Sequence[int],
-        children: np.ndarray,
-        node_ids: np.ndarray,
-        epsilon: float,
-        mismatches: int,
-    ) -> None:
-        super().__init__(shape)
-        if len(self.shape) != 2:
-            raise ValueError("quad backend is 2-D only")
-        self.children = children
-        self.node_ids = node_ids
-        self.epsilon = float(epsilon)
-        self.mismatches = int(mismatches)
-
-    @property
-    def error(self) -> float | None:
-        cells = self.num_cells
-        return self.mismatches / cells if cells else 0.0
-
-    @classmethod
-    def from_dense(
-        cls, ids: np.ndarray, max_error: float = 0.05
-    ) -> "QuadBackend":
-        if ids.ndim != 2:
-            raise ValueError("quad backend is 2-D only")
-        if not 0.0 <= max_error < 1.0:
-            raise ValueError(f"max_error {max_error!r} outside [0, 1)")
-        ids = np.ascontiguousarray(ids, dtype=np.int32)
-        sx, sy = (int(e) for e in ids.shape)
-        children: list[list[int]] = []
-        node_ids: list[int] = []
-        mismatches = 0
-        if sx and sy:
-            children.append([-1, -1, -1, -1])
-            node_ids.append(-1)
-            stack = [(0, 0, sx, 0, sy)]
-            while stack:
-                node, x0, x1, y0, y1 = stack.pop()
-                block = ids[x0:x1, y0:y1]
-                vals, counts = np.unique(block, return_counts=True)
-                top = int(np.argmax(counts))
-                wrong = int(block.size - counts[top])
-                if wrong <= max_error * block.size:
-                    node_ids[node] = int(vals[top])
-                    mismatches += wrong
-                    continue
-                mx = (x0 + x1) // 2 if x1 - x0 > 1 else x1
-                my = (y0 + y1) // 2 if y1 - y0 > 1 else y1
-                quads = (
-                    (x0, mx, y0, my),
-                    (x0, mx, my, y1),
-                    (mx, x1, y0, my),
-                    (mx, x1, my, y1),
-                )
-                for q, (a, b, c, d) in enumerate(quads):
-                    if a >= b or c >= d:
-                        continue
-                    child = len(children)
-                    children.append([-1, -1, -1, -1])
-                    node_ids.append(-1)
-                    children[node][q] = child
-                    stack.append((child, a, b, c, d))
-        return cls(
-            (sx, sy),
-            np.asarray(children, dtype=np.int32).reshape(-1, 4),
-            np.asarray(node_ids, dtype=np.int32),
-            max_error,
-            mismatches,
-        )
-
-    # -- lookups -------------------------------------------------------
-    def id_at(self, cell: Cell) -> int:
-        x, y = int(cell[0]), int(cell[1])
-        node = 0
-        x0, x1 = 0, self.shape[0]
-        y0, y1 = 0, self.shape[1]
-        node_ids = self.node_ids
-        children = self.children
-        while True:
-            nid = int(node_ids[node])
-            if nid >= 0:
-                return nid
-            q = 0
-            if x1 - x0 > 1:
-                mx = (x0 + x1) // 2
-                if x >= mx:
-                    q += 2
-                    x0 = mx
-                else:
-                    x1 = mx
-            if y1 - y0 > 1:
-                my = (y0 + y1) // 2
-                if y >= my:
-                    q += 1
-                    y0 = my
-                else:
-                    y1 = my
-            node = int(children[node, q])
-
-    def lookup_batch_ids(self, cells: np.ndarray) -> np.ndarray:
-        out = np.empty(int(cells.shape[0]), dtype=np.int64)
-        for i, cell in enumerate(cells.tolist()):
-            out[i] = self.id_at(tuple(cell))
-        return out
-
-    def _leaves(self):
-        """Yield ``(node_id, x0, x1, y0, y1)`` over all leaf regions."""
-        if not self.node_ids.size:
-            return
-        stack = [(0, 0, self.shape[0], 0, self.shape[1])]
-        node_ids = self.node_ids
-        children = self.children
-        while stack:
-            node, x0, x1, y0, y1 = stack.pop()
-            nid = int(node_ids[node])
-            if nid >= 0:
-                yield nid, x0, x1, y0, y1
-                continue
-            mx = (x0 + x1) // 2 if x1 - x0 > 1 else x1
-            my = (y0 + y1) // 2 if y1 - y0 > 1 else y1
-            quads = (
-                (x0, mx, y0, my),
-                (x0, mx, my, y1),
-                (mx, x1, y0, my),
-                (mx, x1, my, y1),
-            )
-            for q, (a, b, c, d) in enumerate(quads):
-                child = int(children[node, q])
-                if child >= 0:
-                    stack.append((child, a, b, c, d))
-
-    def row_view(self, row: int) -> np.ndarray:
-        out = np.empty(self.shape[1], dtype=np.int32)
-        for nid, x0, x1, y0, y1 in self._leaves():
-            if x0 <= row < x1:
-                out[y0:y1] = nid
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        out = np.empty(self.shape, dtype=np.int32)
-        for nid, x0, x1, y0, y1 in self._leaves():
-            out[x0:x1, y0:y1] = nid
-        return out
-
-    def set_row_runs(
-        self, row: int, vals: np.ndarray, ends: np.ndarray
-    ) -> None:
-        raise TypeError(
-            "quad backend is immutable; convert to 'dense' or 'rle' first"
-        )
-
-    # -- bookkeeping ---------------------------------------------------
-    def nbytes(self) -> int:
-        return int(self.children.nbytes + self.node_ids.nbytes)
-
-    def min_max(self) -> tuple[int, int]:
-        leaves = self.node_ids[self.node_ids >= 0]
-        return int(leaves.min()), int(leaves.max())
-
-    def mark_referenced(self, mask: np.ndarray) -> None:
-        mask[self.node_ids[self.node_ids >= 0]] = True
-
-    def flip(self, axes: tuple[int, ...]) -> "QuadBackend":
-        # Re-merge over the materialized grid; the measured error
-        # composes (mismatch vs the original <= old + new measurement).
-        flipped = QuadBackend.from_dense(
-            np.flip(self.to_dense(), axis=axes), self.epsilon
-        )
-        flipped.mismatches += self.mismatches
-        return flipped
-
-    def copy(self) -> "QuadBackend":
-        return QuadBackend(
-            self.shape,
-            self.children.copy(),
-            self.node_ids.copy(),
-            self.epsilon,
-            self.mismatches,
-        )
-
-
 class ResultStore:
     """Interned per-cell results over a dense integer grid.
 
@@ -913,7 +692,7 @@ class ResultStore:
     table:
         The interned result tuples, indexed by id.  Entries must be unique;
         every entry should be referenced by at least one cell (builders in
-        this package guarantee both; lossy backends may orphan slots).
+        this package guarantee both).
 
     Examples
     --------
@@ -969,14 +748,14 @@ class ResultStore:
 
     @property
     def backend_kind(self) -> str:
-        """``"dense"``, ``"rle"`` or ``"quad"``."""
+        """``"dense"`` or ``"rle"``."""
         return self._backend.kind
 
     @property
     def ids(self) -> np.ndarray:
         """The dense id ndarray — :class:`DenseBackend` stores only.
 
-        Compressed/approximate stores have no dense array to hand out;
+        Compressed stores have no dense array to hand out;
         use :meth:`dense_ids` (materializing) or the backend row/run
         interface instead.
         """
@@ -993,11 +772,6 @@ class ResultStore:
         return self._backend.to_dense()
 
     @property
-    def approx_error(self) -> float | None:
-        """Measured lookup error fraction (``None`` for exact backends)."""
-        return self._backend.error
-
-    @property
     def nbytes(self) -> int:
         """Resident bytes of the id grid plus the interned table."""
         return self._backend.nbytes() + _table_nbytes(self._table)
@@ -1012,14 +786,11 @@ class ResultStore:
         """Overwrite one grid row with runs (see :class:`GridBackend`)."""
         self._backend.set_row_runs(row, vals, ends)
 
-    def convert(
-        self, kind: str, *, max_error: float = 0.05
-    ) -> "ResultStore":
+    def convert(self, kind: str) -> "ResultStore":
         """This store rebacked onto another grid backend.
 
-        Exact conversions (``dense`` <-> ``rle``) preserve content and
-        therefore :meth:`fingerprint` byte-for-byte; ``quad`` is lossy
-        with measured error <= ``max_error``.  The interned table
+        Conversions preserve content and therefore :meth:`fingerprint`
+        byte-for-byte.  The interned table
         backing is shared (and stays lazy); converting a mapped store
         materializes fresh arrays, so the result does not keep the
         source's mmap alive.  Returns ``self`` when already on ``kind``.
@@ -1033,12 +804,8 @@ class ResultStore:
         backend: GridBackend
         if kind == "dense":
             backend = DenseBackend(self._backend.to_dense())
-        elif kind == "rle":
-            backend = RLEBackend.from_dense(self._backend.to_dense())
         else:
-            backend = QuadBackend.from_dense(
-                self._backend.to_dense(), max_error
-            )
+            backend = RLEBackend.from_dense(self._backend.to_dense())
         return ResultStore(self.shape, backend, self._table)
 
     @property
@@ -1254,9 +1021,7 @@ class ResultStore:
             seen[result] = rid
         if self._intern is not None and self._intern != seen:
             raise AuditError("intern map disagrees with the result table")
-        # Lossy backends (quad) may merge an id entirely out of the
-        # grid, so only exact backends assert full table coverage.
-        if self.num_cells and self._backend.exact:
+        if self.num_cells:
             referenced = np.zeros(len(entries), dtype=bool)
             self._backend.mark_referenced(referenced)
             if not referenced.all():

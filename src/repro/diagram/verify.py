@@ -35,8 +35,7 @@ dynamic bisectors, tied mapped distances) and cross-checks
 * grid backends (``backend:*``): RLE-built stores (serial, vectorized
   native-run emission, maintained through fuzzed update sequences, and
   through a v4 serialize round trip) must be fingerprint-identical to
-  dense builds, and quad stores' exhaustively measured per-cell
-  mismatch fraction must stay within the epsilon they report,
+  dense builds,
 * every lookup path against direct from-scratch evaluation, for all
   query kinds, all ``2^d`` quadrant masks, skybands, and the sweeping
   diagram's polyomino walk,
@@ -511,25 +510,18 @@ def _maintenance_checks(seq_seed: int) -> list[tuple[str, Check, str]]:
 
 
 def _backend_checks(seq_seed: int) -> list[tuple[str, Check, str]]:
-    """Grid backend conformance: dense == rle bytes, quad error <= eps.
+    """Grid backend conformance: dense == rle bytes.
 
     The RLE backend promises *byte identity* with dense — same id
     numbering, same table order, so the value-streaming fingerprints
     match — through serial builds, the vectorized native-run emission,
     incremental maintenance sequences, and a v4 serialize round trip.
-    The quad backend is lossy by contract: its exhaustively measured
-    per-cell mismatch fraction against the dense grid it was merged
-    from must not exceed the error it reports, which must not exceed
-    the requested epsilon.
     """
-    import numpy as np
-
     from repro.diagram.maintenance import delete_point, insert_point
     from repro.diagram.pipeline import BuildOptions
     from repro.diagram.quadrant_scanning import quadrant_scanning
 
     rle_options = BuildOptions(backend="rle")
-    epsilon = 0.1
 
     def rle_build(options: BuildOptions) -> Check:
         def check(points: Points) -> tuple[object, object]:
@@ -574,35 +566,6 @@ def _backend_checks(seq_seed: int) -> list[tuple[str, Check, str]]:
         if diagram.store.fingerprint() == loaded.store.fingerprint():
             return (True, True)
         return (diagram.store.to_dict(), loaded.store.to_dict())
-
-    def quad_error(points: Points) -> tuple[object, object]:
-        dense = quadrant_scanning(points)
-        quad = quadrant_scanning(
-            points,
-            build_options=BuildOptions(backend="quad", quad_error=epsilon),
-        )
-        store = quad.store
-        reported = store.approx_error
-        if store.backend_kind != "quad" or reported is None:
-            return ("quad", store.backend_kind)
-        sx, sy = dense.store.shape
-        cells = sx * sy
-        wrong = sum(
-            int(
-                np.count_nonzero(
-                    dense.store.backend.row_view(r)
-                    != store.backend.row_view(r)
-                )
-            )
-            for r in range(sx)
-        )
-        measured = wrong / cells if cells else 0.0
-        if measured <= reported + 1e-12 and reported <= epsilon:
-            return (True, True)
-        return (
-            f"measured <= reported <= {epsilon}",
-            f"measured={measured} reported={reported}",
-        )
 
     maintained_template = (
         "from repro.diagram.maintenance import delete_point, insert_point\n"
@@ -661,21 +624,6 @@ def _backend_checks(seq_seed: int) -> list[tuple[str, Check, str]]:
             "payload, _ = diagram_to_binary_bytes(diagram)\n"
             "assert diagram_from_v3(payload).store.fingerprint() == "
             "diagram.store.fingerprint()",
-        ),
-        (
-            "backend:quad:error<=epsilon",
-            quad_error,
-            "import numpy as np\n"
-            "from repro.diagram import BuildOptions, quadrant_scanning\n"
-            "dense = quadrant_scanning(points)\n"
-            "quad = quadrant_scanning(points, build_options="
-            "BuildOptions(backend='quad', quad_error=0.1))\n"
-            "sx, sy = dense.store.shape\n"
-            "wrong = sum(int(np.count_nonzero("
-            "dense.store.backend.row_view(r) != "
-            "quad.store.backend.row_view(r))) for r in range(sx))\n"
-            "measured = wrong / (sx * sy) if sx * sy else 0.0\n"
-            "assert measured <= quad.store.approx_error <= 0.1",
         ),
     ]
 

@@ -962,7 +962,7 @@ class SkylineDatabase:
         )
         # Per-attached-diagram memory: the grid backend's resident bytes
         # plus the interned result table — the numbers the backend choice
-        # (dense / rle / quad) actually moves.
+        # (dense / rle) actually moves.
         memory: dict[str, dict] = {}
         for key, diagram in sorted(gen.diagrams.items()):
             if diagram is None:

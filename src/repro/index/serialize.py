@@ -59,7 +59,6 @@ from repro.diagram.store import (
     ConsForestTable,
     DenseBackend,
     PackedTable,
-    QuadBackend,
     ResultStore,
     RLEBackend,
 )
@@ -207,7 +206,7 @@ def verify_envelope(
 
     ``version`` is ``None`` for bare v1 payloads (no header, no
     checksum), 2 for JSON envelopes, 3 for dense binary snapshots and 4
-    for grid-backend (RLE/quad) binary snapshots; the
+    for grid-backend (RLE) binary snapshots; the
     payload is returned as a zero-copy ``memoryview`` into ``blob``.
     Truncated or corrupted envelopes raise :class:`SerializationError`
     whose ``salvage`` attribute reports the recorded header, the
@@ -364,10 +363,9 @@ def diagram_to_binary_bytes(
     its cons forest (``rep``/``par`` plus the corner groups) without
     upgrading the store; list and :class:`PackedTable` backings are
     written packed (CSR).  Dense stores keep the exact v3 layout (and
-    header) older readers accept; RLE and quad stores write their
-    backend arrays as v4 sections — for RLE the same four arrays the
-    in-memory backend reads, so an mmapped v4 file serves the compressed
-    grid zero-copy.
+    header) older readers accept; RLE stores write the same four arrays
+    the in-memory backend reads as v4 sections, so an mmapped v4 file
+    serves the compressed grid zero-copy.
     """
     store = diagram.store
     backend = store.backend
@@ -418,13 +416,6 @@ def diagram_to_binary_bytes(
             ("rle_row_nruns", backend.row_nruns),
             ("rle_run_vals", backend.run_vals),
             ("rle_run_ends", backend.run_ends),
-        ]
-    elif backend.kind == "quad":
-        meta["epsilon"] = backend.epsilon
-        meta["mismatches"] = backend.mismatches
-        sections += [
-            ("quad_children", backend.children),
-            ("quad_node_ids", backend.node_ids),
         ]
     else:  # pragma: no cover - new backends must add a section writer
         raise SerializationError(
@@ -590,19 +581,6 @@ def _binary_grid_backend(
                 arrays["rle_run_vals"],
                 arrays["rle_run_ends"],
             )
-        if kind == "quad":
-            children = arrays["quad_children"]
-            if children.ndim != 2 or children.shape[1] != 4:
-                raise SerializationError(
-                    f"quad children of shape {tuple(children.shape)}"
-                )
-            return QuadBackend(
-                shape,
-                children,
-                arrays["quad_node_ids"],
-                float(meta.get("epsilon", 0.0)),
-                int(meta.get("mismatches", 0)),
-            )
     except KeyError as exc:
         raise SerializationError(
             f"{kind} payload is missing grid section {exc}"
@@ -686,7 +664,7 @@ def save_diagram(
     """Atomically write a diagram to ``path`` inside the sha256 envelope.
 
     ``format="binary"`` (the default) writes the binary snapshot payload
-    — v3 for dense stores, v4 for RLE/quad grid backends, either way the
+    — v3 for dense stores, v4 for RLE grid backends, either way the
     format :func:`map_diagram` serves zero-copy; ``format="json"``
     writes the legacy v1 JSON payload in a ``/2`` envelope.  Either way
     the payload lands in a temp file in the destination directory, is

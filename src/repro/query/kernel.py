@@ -107,8 +107,8 @@ class QueryKernel:
         removes most of the interpreter overhead that separated the
         scalar path from the batch kernel.  Returns ``None`` — and the
         scalar path falls back to locate/result_at — for union modes,
-        non-dense grid backends (rle/quad lookups go through the
-        backend's own search), or a non-C-contiguous id array.
+        non-dense grid backends (rle lookups go through the backend's
+        own search), or a non-C-contiguous id array.
         """
         if self.mode != "closed_edge":
             return None

@@ -25,11 +25,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-#: Serving tiers of the degradation ladder, best first.  ``approx`` is
-#: the diagram tier served through an inexact grid backend (quadtree
-#: cell merging): same latency class as ``diagram``, but answers carry
-#: a measured error bound instead of exactness.
-TIERS = ("diagram", "approx", "partial", "scratch")
+#: Serving tiers of the degradation ladder, best first.
+TIERS = ("diagram", "partial", "scratch")
 
 #: Histogram bucket upper bounds (seconds), a 1-2-5 series from 100ns to 10s.
 BUCKET_BOUNDS: tuple[float, ...] = tuple(

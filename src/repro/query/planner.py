@@ -62,10 +62,7 @@ class QueryAnswer(NamedTuple):
     tier answered (``None`` for partial/scratch tiers and pipeline-less
     diagrams).  ``query_report`` is the lookup-side
     :class:`~repro.query.metrics.QueryReport` and is always present on
-    answers produced by the planner.  ``error`` is ``None`` on every
-    exact tier; an ``approx``-tier answer (a diagram stored on an
-    inexact grid backend, e.g. quadtree cell merging) carries the
-    backend's measured mismatched-cell fraction instead.
+    answers produced by the planner.
     """
 
     result: tuple[int, ...]
@@ -73,7 +70,6 @@ class QueryAnswer(NamedTuple):
     key: str
     report: object = None
     query_report: QueryReport | None = None
-    error: float | None = None
 
 
 @dataclass(frozen=True)
@@ -217,16 +213,10 @@ class QueryPlanner:
                 ]
             seconds = max(0.0, clock() - start)
             m = len(results)
-            # Exact backends serve the diagram tier; an inexact grid
-            # backend (quadtree cell merging) serves the same lookups
-            # one rung down, with the measured error on every answer.
-            store = getattr(diagram, "store", None)
-            error = store.approx_error if store is not None else None
-            tier = "diagram" if error is None else "approx"
             query_report = QueryReport(
                 kind=plan.handler.metrics_kind(spec),
                 key=plan.key,
-                tier=tier,
+                tier="diagram",
                 batch=m,
                 seconds=seconds,
                 per_query_s=seconds / m if m else 0.0,
@@ -238,8 +228,8 @@ class QueryPlanner:
             db.metrics.observe_query(query_report)
             build_report = getattr(diagram, "build_report", None)
             return [
-                QueryAnswer(result, tier, plan.key, build_report,
-                            query_report, error)
+                QueryAnswer(result, "diagram", plan.key, build_report,
+                            query_report)
                 for result in results
             ]
         # Degraded: the plan (cache miss, backoff, partial) was resolved

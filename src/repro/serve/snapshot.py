@@ -55,7 +55,7 @@ class SnapshotManager:
     its manager), while :attr:`current` may be read from any thread.
 
     ``backend`` converts each mapped generation's grid store to the
-    named backend (``dense`` / ``rle`` / ``quad``) before it is
+    named backend (``dense`` / ``rle``) before it is
     published; the default serves the snapshot's stored backend as
     mapped (dense and rle map zero-copy).  Conversion materializes the
     grid but keeps the interned table on the mapping.

@@ -1,13 +1,14 @@
 """Grid backends: conformance, conversion, maintenance, serving, mmap life.
 
-The PR-10 surface in one place: the ``GridBackend`` protocol behind
-``ResultStore`` (dense / rle / quad), backend choice threaded through
-builds, maintenance, serialization, the query planner's ``approx`` tier,
-engine memory accounting, batched update union re-scans, the CLI flags,
-and the serve-side conversion — plus the mmap-lifetime regressions for
-stores loaded via ``map_diagram``.
+The ``GridBackend`` protocol behind ``ResultStore`` (dense / rle) in one
+place: backend choice threaded through builds, maintenance,
+serialization, engine memory accounting, batched update union re-scans,
+the CLI flags, and the serve-side conversion — plus the mmap-lifetime
+regressions for stores loaded via ``map_diagram``.
 """
 
+import json
+import os
 import random
 
 import numpy as np
@@ -22,9 +23,11 @@ from repro.diagram.store import (
     RLEBackend,
     ResultStore,
 )
+from repro.errors import SerializationError
 from repro.index.engine import SkylineDatabase
 from repro.index.serialize import (
     diagram_to_binary_bytes,
+    envelope_bytes,
     load_diagram,
     map_diagram,
     save_diagram,
@@ -122,33 +125,6 @@ class TestBackendConformance:
         assert rle.backend.nbytes() < dense.backend.nbytes() / 4
         assert rle.fingerprint() == dense.fingerprint()
 
-    def test_quad_error_is_measured_and_bounded(self):
-        eps = 0.1
-        dense = quadrant_scanning(POINTS)
-        quad = quadrant_scanning(
-            POINTS,
-            build_options=BuildOptions(backend="quad", quad_error=eps),
-        )
-        store = quad.store
-        assert store.backend_kind == "quad"
-        sx, sy = dense.store.shape
-        wrong = sum(
-            int(
-                np.count_nonzero(
-                    dense.store.row_view(r) != store.row_view(r)
-                )
-            )
-            for r in range(sx)
-        )
-        measured = wrong / (sx * sy)
-        assert measured <= store.approx_error + 1e-12 <= eps + 1e-12
-
-    def test_exact_backends_report_no_error(self, exact_backend):
-        diagram = quadrant_scanning(
-            POINTS, build_options=BuildOptions(backend=exact_backend)
-        )
-        assert diagram.store.approx_error is None
-
     def test_build_report_names_backend_and_bytes(self):
         diagram = quadrant_scanning(
             POINTS, build_options=BuildOptions(backend="rle")
@@ -181,16 +157,7 @@ class TestConversion:
             store.convert("sparse")
         with pytest.raises(ValueError, match="backend must be one of"):
             BuildOptions(backend="sparse")
-        assert set(BACKENDS) == {"dense", "rle", "quad"}
-
-    def test_quad_conversion_respects_max_error(self):
-        store = quadrant_scanning(POINTS).store
-        quad = store.convert("quad", max_error=0.2)
-        assert quad.approx_error <= 0.2
-        exact = store.convert("quad", max_error=0.0)
-        assert exact.approx_error == 0.0
-        assert (exact.backend.to_dense() == store.ids).all()
-
+        assert set(BACKENDS) == {"dense", "rle"}
 
 class TestSerializeV4:
     def test_dense_payload_stays_v3(self):
@@ -204,7 +171,7 @@ class TestSerializeV4:
         _, version = diagram_to_binary_bytes(diagram)
         assert version == 4
 
-    @pytest.mark.parametrize("backend", ["rle", "quad"])
+    @pytest.mark.parametrize("backend", ["rle"])
     def test_save_load_round_trip(self, tmp_path, backend):
         diagram = quadrant_scanning(
             POINTS, build_options=BuildOptions(backend=backend)
@@ -214,6 +181,42 @@ class TestSerializeV4:
         loaded = load_diagram(str(path))
         assert loaded.store.backend_kind == backend
         assert loaded.store.fingerprint() == diagram.store.fingerprint()
+
+    def test_old_quad_snapshot_fails_visibly(self, tmp_path):
+        # Snapshots written before the quad backend was removed name it
+        # in their v4 meta line.  Re-seal an rle payload under that name:
+        # both loaders must reject it by backend name, and a serving
+        # manager must keep its previous generation.
+        from repro.serve.snapshot import SnapshotManager
+
+        diagram = quadrant_scanning(
+            POINTS, build_options=BuildOptions(backend="rle")
+        )
+        payload, version = diagram_to_binary_bytes(diagram)
+        newline = payload.index(b"\n")
+        meta = json.loads(payload[:newline])
+        meta["backend"] = "quad"
+        line = json.dumps(meta, separators=(",", ":")).encode() + b"\n"
+        old_base = -(-(newline + 1) // 64) * 64
+        new_base = -(-len(line) // 64) * 64
+        body = line + b"\0" * (new_base - len(line)) + payload[old_base:]
+        old = tmp_path / "old.bin"
+        old.write_bytes(envelope_bytes(body, binary_version=version))
+        for loader in (load_diagram, map_diagram):
+            with pytest.raises(
+                SerializationError, match="unknown grid backend 'quad'"
+            ):
+                loader(str(old))
+
+        path = tmp_path / "snap.bin"
+        save_diagram(diagram, str(path))
+        manager = SnapshotManager(str(path))
+        first = manager.load()
+        os.replace(old, path)
+        assert manager.refresh() is first
+        assert manager.current is first
+        assert manager.rejected == 1
+        assert "unknown grid backend 'quad'" in manager.last_error
 
     def test_mapped_rle_store_is_zero_copy(self, tmp_path):
         diagram = quadrant_scanning(
@@ -306,14 +309,6 @@ class TestMaintenanceBackends:
         )
         assert updated.store.fingerprint() == fresh.store.fingerprint()
 
-    def test_quad_diagram_falls_back_to_densify(self):
-        diagram = quadrant_scanning(
-            POINTS, build_options=BuildOptions(backend="quad", quad_error=0.1)
-        )
-        updated = insert_point(diagram, (6.0, 6.0))
-        assert updated.store.backend_kind == "quad"
-        assert updated.build_report.backend_fallback == "densify"
-
     def test_apply_ops_matches_sequential_application(self):
         for backend in ("dense", "rle"):
             options = BuildOptions(backend=backend)
@@ -370,21 +365,12 @@ class TestEngineAccounting:
         stats = db.health()["updates"]
         assert stats["union_scans"] == 1
 
-    def test_quad_answers_ride_the_approx_tier(self):
-        db = SkylineDatabase(
-            POINTS, build_options=BuildOptions(backend="quad", quad_error=0.2)
-        )
-        answer = db.query_annotated((10.0, 10.0))
-        assert answer.served_from == "approx"
-        assert 0.0 <= answer.error <= 0.2
-
     def test_exact_answers_carry_no_error(self):
         db = SkylineDatabase(
             POINTS, build_options=BuildOptions(backend="rle")
         )
         answer = db.query_annotated((10.0, 10.0))
         assert answer.served_from == "diagram"
-        assert answer.error is None
 
 
 class TestServeBackend:
