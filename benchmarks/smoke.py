@@ -83,6 +83,10 @@ from repro.diagram.quadrant_scanning import (  # noqa: E402
 )
 from repro.skyline.queries import quadrant_skyline  # noqa: E402
 
+#: The serial reference engine, pinned in every arm labelled "serial"
+#: (the default executor is vectorized).
+SERIAL = BuildOptions(executor="serial")
+
 E1_ALGORITHMS = {
     "baseline": quadrant_baseline,
     "dsg": quadrant_dsg,
@@ -125,9 +129,11 @@ def e8_lookup_small(n: int, batch: int) -> dict:
 
 
 def headline_construction(n: int) -> dict:
-    """Array-store scanning vs the seed dict reference at one size."""
+    """Array-store (serial id engine) scanning vs the seed dict reference."""
     points = dataset("independent", n)
-    new = time_call(lambda: quadrant_scanning(points), repeats=3)
+    new = time_call(
+        lambda: quadrant_scanning(points, build_options=SERIAL), repeats=3
+    )
     ref = time_call(lambda: quadrant_scanning_reference(points), repeats=3)
     return {
         "n": n,
@@ -170,12 +176,14 @@ def pipeline_construction(n: int, workers: int) -> dict:
     """
     points = dataset("independent", n)
     options = BuildOptions(executor="process", workers=workers)
-    serial = quadrant_scanning(points)
+    serial = quadrant_scanning(points, build_options=SERIAL)
     parallel = quadrant_scanning(points, build_options=options)
     assert serial.store.fingerprint() == parallel.store.fingerprint(), (
         "process-pool build diverged from serial"
     )
-    serial_s = time_call(lambda: quadrant_scanning(points), repeats=3)
+    serial_s = time_call(
+        lambda: quadrant_scanning(points, build_options=SERIAL), repeats=3
+    )
     parallel_s = time_call(
         lambda: quadrant_scanning(points, build_options=options), repeats=3
     )
@@ -257,7 +265,7 @@ def vectorized_construction(
     """
     points = dataset("independent", n, domain=domain)
     vector = BuildOptions(executor="vectorized")
-    serial_d = quadrant_scanning(points)
+    serial_d = quadrant_scanning(points, build_options=SERIAL)
     vector_d = quadrant_scanning(points, build_options=vector)
     assert vector_d.build_report.executor == "vectorized", (
         vector_d.build_report
@@ -269,7 +277,10 @@ def vectorized_construction(
     vector_report = vector_d.build_report.as_dict()
     del serial_d, vector_d
     gc.collect()
-    serial_s = time_call(lambda: quadrant_scanning(points), repeats=repeats)
+    serial_s = time_call(
+        lambda: quadrant_scanning(points, build_options=SERIAL),
+        repeats=repeats,
+    )
     gc.collect()
     vector_s = time_call(
         lambda: quadrant_scanning(points, build_options=vector),
@@ -304,7 +315,7 @@ def fused_single_query(n: int, batch: int) -> dict:
     )
     rng = random.Random(batch)
     queries = [(rng.random(), rng.random()) for _ in range(batch)]
-    serial_d = quadrant_scanning(points)
+    serial_d = quadrant_scanning(points, build_options=SERIAL)
     probe = queries[: min(200, batch)]
     assert [diagram.query(q) for q in probe] == [
         serial_d.query(q) for q in probe
@@ -504,7 +515,10 @@ def update_vs_rebuild(
 
     points = list(dataset("independent", n, domain=domain))
     diagram = quadrant_scanning(points)
-    serial_s = time_call(lambda: quadrant_scanning(points), repeats=repeats)
+    serial_s = time_call(
+        lambda: quadrant_scanning(points, build_options=SERIAL),
+        repeats=repeats,
+    )
     gc.collect()
     vector = BuildOptions(executor="vectorized")
     vector_s = time_call(

@@ -75,7 +75,8 @@ def _build_options(args: argparse.Namespace):
 
     Returns ``None`` when no build-shaping flag was given, so commands
     keep their zero-configuration default path.  ``--parallel N``
-    remains a shorthand for ``--executor process`` with N workers.
+    remains a shorthand for ``--executor process`` with N workers;
+    otherwise an unset ``--executor`` keeps the ``BuildOptions`` default.
     """
     executor = getattr(args, "executor", None)
     parallel = getattr(args, "parallel", None)
@@ -90,17 +91,14 @@ def _build_options(args: argparse.Namespace):
         return None
     from repro.diagram.pipeline import BuildOptions
 
-    if executor is None:
-        executor = "process" if parallel else "serial"
+    if executor is None and parallel:
+        executor = "process"
     kwargs: dict = {}
+    if executor is not None:
+        kwargs["executor"] = executor
     if backend is not None:
         kwargs["backend"] = backend
-    return BuildOptions(
-        executor=executor,
-        workers=parallel,
-        chunk_rows=chunk_rows,
-        **kwargs,
-    )
+    return BuildOptions(workers=parallel, chunk_rows=chunk_rows, **kwargs)
 
 
 def _call_builder(builder, dataset, options, **kwargs):
@@ -378,9 +376,10 @@ def main(argv: list[str] | None = None) -> int:
         "--executor",
         choices=("serial", "process", "vectorized"),
         default=None,
-        help="row executor for scanning builds; all three produce "
-        "byte-identical diagrams (constructions without a matching "
-        "kernel fall back to serial and report what ran)",
+        help="row executor for scanning builds (default: vectorized); "
+        "all three produce byte-identical diagrams (constructions "
+        "without a matching kernel fall back to serial and report what "
+        "ran)",
     )
     p.add_argument(
         "--parallel",
@@ -395,7 +394,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="R",
-        help="rows per shard (default: rows / workers)",
+        help="rows per shard (default: rows / workers); for the "
+        "vectorized executor, rows per budget checkpoint block",
     )
     p.add_argument(
         "--backend",
@@ -636,11 +636,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         save_diagram(diagram, args.output, format=args.format)
         print(f"wrote {args.kind} diagram ({args.algorithm}) to {args.output}")
         report = getattr(diagram, "build_report", None)
-        if report is not None and (
-            args.executor is not None
-            or args.parallel is not None
-            or args.chunk_rows is not None
-        ):
+        if report is not None and _build_options(args) is not None:
             print(
                 f"executor: {report.executor} (workers={report.workers}), "
                 f"rows={report.rows_scanned}, "

@@ -182,6 +182,12 @@ def global_diagram(
             exc.partial = None
             raise
     ctx.report.algorithm = quadrant_diagrams[0].algorithm
+    sub_report = quadrant_diagrams[0].build_report
+    if sub_report is not None:
+        # The merge below is executor-independent; what ran is what the
+        # sub-builds ran.
+        ctx.report.executor = sub_report.executor
+        ctx.report.workers = sub_report.workers
     grid = quadrant_diagrams[0].grid
     ctx.count_rows(grid.shape[-1] * (1 << dim))
     with ctx.phase("intern"):

@@ -57,10 +57,10 @@ no :class:`~repro.resilience.PartialDiagram` — chunk results are not a
 serving-ordered row prefix — so the degradation ladder falls through to
 from-scratch evaluation instead.
 
-The vectorized executor is a *capability marker* rather than a job
-runner: a constructor that implements a sparse array kernel declares
-``vector_capable=True`` to its :class:`BuildContext` and, when the
-resolved executor is vectorized, runs that kernel in place of the
+The vectorized executor is the default and a *capability marker* rather
+than a job runner: a constructor that implements a sparse array kernel
+declares ``vector_capable=True`` to its :class:`BuildContext` and, when
+the resolved executor is vectorized, runs that kernel in place of the
 per-cell scan.  Constructors without such a kernel (the dynamic subcell
 scan, the column-major high-dimensional builders) silently resolve
 ``executor="vectorized"`` to the serial executor, and the
@@ -117,14 +117,16 @@ class BuildOptions:
     Parameters
     ----------
     executor:
-        ``"serial"`` (default), ``"process"`` or ``"vectorized"``.  Only
+        ``"vectorized"`` (default), ``"serial"`` or ``"process"``.  Only
         the row-independent scanning constructions shard their
         ``row_scan`` phase, and only constructions with a sparse array
         kernel honour ``"vectorized"``; every other builder (skyband
         sweep, high-dimensional scan, maintenance, the dynamic subcell
         scan) accepts the options for the phases/telemetry and runs
         serially regardless — the attached ``BuildReport`` names the
-        executor that actually ran.
+        executor that actually ran.  ``"serial"`` is the reference
+        engine the other two are byte-identical to; pass it explicitly
+        for per-row budget checkpoints and partials.
     workers:
         Process-pool size for the ``process`` executor (default: the CPU
         count).
@@ -145,7 +147,7 @@ class BuildOptions:
         RLE runs natively, skipping the dense grid entirely.
     """
 
-    executor: str = "serial"
+    executor: str = "vectorized"
     workers: int | None = None
     chunk_rows: int | None = None
     telemetry: Callable[[str, dict], None] | None = None

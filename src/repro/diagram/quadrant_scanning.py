@@ -17,12 +17,13 @@ both a point on the upper line and a point on the right line — it is then
 counted ``1 + 1 - 1`` minus two memberships, and saturation clamps the
 −1 to the correct 0.
 
-The default engine operates on interned result *ids* row-at-a-time over the
-array-backed :class:`~repro.diagram.store.ResultStore`.  The recurrence
-only produces a new value at *event* columns — a point corner on the row's
-upper line, or a column where the upper row's id changes (``up == upright``
-makes the expression collapse to the right neighbour everywhere else) — so
-whole constant runs are filled with one slice assignment, and each event
+The serial (reference) engine operates on interned result *ids*
+row-at-a-time over the array-backed
+:class:`~repro.diagram.store.ResultStore`.  The recurrence only produces a
+new value at *event* columns — a point corner on the row's upper line, or
+a column where the upper row's id changes (``up == upright`` makes the
+expression collapse to the right neighbour everywhere else) — so whole
+constant runs are filled with one slice assignment, and each event
 resolves either to an integer fast path or to the small-delta set identity
 ``sky = (right − sub) ∪ add`` derived in :func:`_scan_rows`.  The
 seed dict-based implementation is kept as
@@ -40,11 +41,11 @@ entering state, scans top-down, and is relabeled into scan-order ids
 (:func:`~repro.diagram.pipeline.relabel_scan_order`) so the merged grid
 and interned table are byte-identical to the serial engine's.
 
-``BuildOptions(executor="vectorized")`` selects a third engine built on
-a different decomposition of the same recurrence.  In rank space every
-cell result is a monotone staircase: the groups visible from the cell,
-columns ascending, row-ranks strictly descending — i.e. a path in a
-*cons forest* where each node is ``(group, parent)`` and a node's parent
+The vectorized executor — the ``BuildOptions`` default — runs a third
+engine built on a different decomposition of the same recurrence.  In
+rank space every cell result is a monotone staircase: the groups visible
+from the cell, columns ascending, row-ranks strictly descending — i.e. a
+path in a *cons forest* where each node is ``(group, parent)`` and a node's parent
 is the staircase member at the nearest column to the right whose rank is
 strictly smaller (the classic previous-smaller-element structure).  Row
 over row that structure is persistent: the corners entering a row carry
@@ -542,9 +543,13 @@ def _events_to_rle(
 def _quadrant_vectorized(
     ctx: BuildContext,
     grid: Grid,
-    row_corners: list[dict[int, tuple[int, ...]]],
+    per_row: list,
+    group_tuples: list[tuple[int, ...]],
 ) -> SkylineDiagram:
     """The ``executor="vectorized"`` build path of :func:`quadrant_scanning`.
+
+    ``per_row``/``group_tuples`` are the :func:`_vector_corner_rows`
+    arrays, computed in the caller's ``rank_space`` phase.
 
     Maintains the staircase structure of the module docstring as parallel
     arrays over the active columns — ``act_rep`` the visible group per
@@ -571,8 +576,6 @@ def _quadrant_vectorized(
     sx, sy = grid.shape
     native_rle = ctx.options.backend == "rle"
     events: tuple[list, list, list, list] = ([], [], [], [])
-    with ctx.phase("rank_space"):
-        per_row, group_tuples = _vector_corner_rows(row_corners)
     sent = _PSE_NONE
     act_cols = np.empty(0, dtype=np.int64)
     act_rep = np.empty(0, dtype=np.int64)
@@ -744,20 +747,22 @@ def quadrant_scanning(
     ablation arm (E9c) producing an identical diagram.
 
     ``budget`` bounds the construction cooperatively: the scan checkpoints
-    once per completed row, and on exhaustion raises
+    once per completed row block (once per row with
+    ``executor="serial"``), and on exhaustion raises
     :class:`~repro.errors.BudgetExceededError` carrying a
     :class:`~repro.resilience.PartialDiagram` over the rows already built
     (the scan runs top row down, so the completed suffix is exact).  The
     reference path ignores the budget — it exists for ablations, not
     serving.
 
-    ``build_options`` selects the row executor (serial, process pool or
-    vectorized) and chunking; sharded builds produce byte-identical
-    stores but carry no partial on interruption (chunk results are not a
+    ``build_options`` selects the row executor and chunking.  The default
+    vectorized executor runs the staircase array engine
+    (:func:`_quadrant_vectorized`); ``serial`` runs the per-row id
+    engine, the reference the other executors are byte-identical to.
+    Sharded builds (``serial`` with ``chunk_rows``, or ``process``)
+    carry no partial on interruption (chunk results are not a
     serving-ordered row prefix), so the degradation ladder falls through
-    to scratch.  The vectorized executor runs the staircase array engine
-    (:func:`_quadrant_vectorized`), checkpoints the budget once per row
-    block, and keeps the serial partial-on-exhaustion contract.
+    to scratch.
 
     >>> diagram = quadrant_scanning([(2, 8), (5, 4), (9, 1)])
     >>> diagram.result_at((0, 0))
@@ -777,12 +782,15 @@ def quadrant_scanning(
         kind="quadrant",
         vector_capable=True,
     )
+    vectorized = ctx.executor.name == "vectorized"
     with ctx.phase("rank_space"):
         grid = Grid(dataset)
         sx, sy = grid.shape
         row_corners, row_corner_cols = _corner_rows(grid)
-    if ctx.executor.name == "vectorized":
-        return _quadrant_vectorized(ctx, grid, row_corners)
+        if vectorized:
+            per_row, group_tuples = _vector_corner_rows(row_corners)
+    if vectorized:
+        return _quadrant_vectorized(ctx, grid, per_row, group_tuples)
     chunks = ctx.row_chunks(sy, topmost_first=True)
     rows = np.empty((sy, sx), dtype=np.int32)
     if len(chunks) == 1:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import insort
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from itertools import product
 from typing import Iterator
 
@@ -108,6 +108,10 @@ class ConsForestTable:
             cache[node] = tuple(merged)
         return cache[rid]
 
+    def results(self, rids: list[int]) -> list[Result]:
+        """Result tuples of many ids (see :func:`_cached_results`)."""
+        return _cached_results(self._cache, self.result, rids)
+
     def __getitem__(self, rid: int) -> Result:
         return self.result(int(rid))
 
@@ -165,6 +169,10 @@ class PackedTable:
         cache[rid] = tup
         return tup
 
+    def results(self, rids: list[int]) -> list[Result]:
+        """Result tuples of many ids (see :func:`_cached_results`)."""
+        return _cached_results(self._cache, self.result, rids)
+
     def __getitem__(self, rid: int) -> Result:
         return self.result(int(rid))
 
@@ -176,6 +184,28 @@ class PackedTable:
             tuple(values[offsets[rid] : offsets[rid + 1]])
             for rid in range(len(offsets) - 1)
         ]
+
+
+def _cached_results(
+    cache: list[Result | None] | None,
+    result: Callable[[int], Result],
+    rids: list[int],
+) -> list[Result]:
+    """Batch read of a lazy table's per-id tuple cache.
+
+    Cached tuples come out of one comprehension; only the misses pay a
+    :meth:`result` call (which materializes and caches them).  A table
+    nothing has read yet has no cache, so every id is a miss.
+    """
+    if cache is None:
+        return [result(rid) for rid in rids]
+    out: list = [cache[rid] for rid in rids]
+    if None in out:
+        out = [
+            got if got is not None else result(rid)
+            for got, rid in zip(out, rids)
+        ]
+    return out
 
 
 #: Recognised grid backends, in `convert()`/`BuildOptions(backend=...)` order.
@@ -923,8 +953,7 @@ class ResultStore:
         ids = self._backend.lookup_batch_ids(cells)
         table = self._table
         if type(table) is not list:
-            result = table.result
-            return [result(i) for i in ids.tolist()]
+            return table.results(ids.tolist())
         return [table[i] for i in ids.tolist()]
 
     def union_at_corners(

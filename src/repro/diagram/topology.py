@@ -4,7 +4,8 @@ A Voronoi diagram is more than a lookup table — its dual (the Delaunay
 triangulation) drives navigation and incremental algorithms.  The skyline
 diagram has the same dual view: polyominos that share a boundary edge form
 the *region adjacency graph*, where every edge is one "result change"
-event.  This module builds that graph (networkx) and uses it for
+event.  This module builds that graph (networkx, imported on first use
+so that ``import repro`` does not load it) and uses it for
 
 * counting how different two query locations' results can be (shortest
   crossing path),
@@ -15,12 +16,14 @@ event.  This module builds that graph (networkx) and uses it for
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.diagram.base import DynamicDiagram, SkylineDiagram
 from repro.diagram.merge import cell_labels
 from repro.errors import QueryError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def region_adjacency(
@@ -38,6 +41,8 @@ def region_adjacency(
     >>> graph.number_of_nodes(), graph.number_of_edges()
     (2, 1)
     """
+    import networkx as nx
+
     shape = diagram.grid.shape
     if len(shape) != 2:
         raise QueryError("region adjacency is defined for 2-D diagrams")
@@ -86,6 +91,8 @@ def crossing_distance(
     >>> crossing_distance(diagram, (0, 0), (100, 100))
     3
     """
+    import networkx as nx
+
     if graph is None:
         graph = region_adjacency(diagram)
     source = region_of(diagram, start)

@@ -304,10 +304,11 @@ def _pair_checks() -> list[tuple[str, Check, str]]:
     def chunked(build) -> Check:
         from repro.diagram.pipeline import BuildOptions
 
-        options = BuildOptions(chunk_rows=2)
+        serial = BuildOptions(executor="serial")
+        options = BuildOptions(executor="serial", chunk_rows=2)
 
         def check(points: Points) -> tuple[object, object]:
-            a = build(points)
+            a = build(points, build_options=serial)
             b = build(points, build_options=options)
             if a == b:
                 return (True, True)
@@ -318,11 +319,12 @@ def _pair_checks() -> list[tuple[str, Check, str]]:
     def vectorized(build) -> Check:
         from repro.diagram.pipeline import BuildOptions
 
+        serial = BuildOptions(executor="serial")
         # chunk_rows=2 forces multi-block state carry across checkpoints.
         options = BuildOptions(executor="vectorized", chunk_rows=2)
 
         def check(points: Points) -> tuple[object, object]:
-            a = build(points)
+            a = build(points, build_options=serial)
             b = build(points, build_options=options)
             # The vectorized engine promises byte identity, not just
             # semantic equality: same id numbering, same table order.
@@ -334,12 +336,14 @@ def _pair_checks() -> list[tuple[str, Check, str]]:
 
     chunk_template = (
         "from repro.diagram import BuildOptions, {a}\n"
-        "assert {a}(points) == "
-        "{a}(points, build_options=BuildOptions(chunk_rows=2))"
+        "assert {a}(points, build_options=BuildOptions(executor='serial')) "
+        "== {a}(points, build_options=BuildOptions(executor='serial', "
+        "chunk_rows=2))"
     )
     vector_template = (
         "from repro.diagram import BuildOptions, {a}\n"
-        "assert {a}(points).store.fingerprint() == {a}(points, "
+        "assert {a}(points, build_options=BuildOptions(executor='serial'))"
+        ".store.fingerprint() == {a}(points, "
         "build_options=BuildOptions(executor='vectorized', "
         "chunk_rows=2)).store.fingerprint()"
     )
@@ -521,7 +525,7 @@ def _backend_checks(seq_seed: int) -> list[tuple[str, Check, str]]:
     from repro.diagram.pipeline import BuildOptions
     from repro.diagram.quadrant_scanning import quadrant_scanning
 
-    rle_options = BuildOptions(backend="rle")
+    rle_options = BuildOptions(executor="serial", backend="rle")
 
     def rle_build(options: BuildOptions) -> Check:
         def check(points: Points) -> tuple[object, object]:
@@ -574,7 +578,7 @@ def _backend_checks(seq_seed: int) -> list[tuple[str, Check, str]]:
         "from repro.diagram.verify import _maintenance_sequence\n"
         "pts = [tuple(map(float, p)) for p in points]\n"
         "diagram = quadrant_scanning(pts, "
-        "build_options=BuildOptions(backend='rle'))\n"
+        "build_options=BuildOptions(executor='serial', backend='rle'))\n"
         f"for op, value in _maintenance_sequence({seq_seed}, points):\n"
         "    if op == 'insert':\n"
         "        diagram = insert_point(diagram, value)\n"
@@ -583,7 +587,7 @@ def _backend_checks(seq_seed: int) -> list[tuple[str, Check, str]]:
         "        diagram = delete_point(diagram, value)\n"
         "        del pts[value]\n"
         "fresh = quadrant_scanning(pts, "
-        "build_options=BuildOptions(backend='rle'))\n"
+        "build_options=BuildOptions(executor='serial', backend='rle'))\n"
         "assert diagram.store.fingerprint() == fresh.store.fingerprint()"
     )
     return [
@@ -593,7 +597,8 @@ def _backend_checks(seq_seed: int) -> list[tuple[str, Check, str]]:
             "from repro.diagram import BuildOptions, quadrant_scanning\n"
             "assert quadrant_scanning(points).store.fingerprint() == "
             "quadrant_scanning(points, build_options="
-            "BuildOptions(backend='rle')).store.fingerprint()",
+            "BuildOptions(executor='serial', backend='rle'))"
+            ".store.fingerprint()",
         ),
         (
             "backend:rle:vectorized==dense",
@@ -620,7 +625,7 @@ def _backend_checks(seq_seed: int) -> list[tuple[str, Check, str]]:
             "from repro.index.serialize import diagram_from_v3, "
             "diagram_to_binary_bytes\n"
             "diagram = quadrant_scanning(points, "
-            "build_options=BuildOptions(backend='rle'))\n"
+            "build_options=BuildOptions(executor='serial', backend='rle'))\n"
             "payload, _ = diagram_to_binary_bytes(diagram)\n"
             "assert diagram_from_v3(payload).store.fingerprint() == "
             "diagram.store.fingerprint()",
@@ -914,21 +919,28 @@ def _runtime_checks(
             )
         )
 
-    chunked_options = BuildOptions(chunk_rows=2)
+    serial_options = BuildOptions(executor="serial")
+    chunked_options = BuildOptions(executor="serial", chunk_rows=2)
+    serial_line = (
+        "serial = SkylineDatabase(points, "
+        "build_options=BuildOptions(executor='serial'))\n"
+    )
     chunk_template = (
         "from repro.diagram.pipeline import BuildOptions\n"
         "from repro.index.engine import SkylineDatabase\n"
         f"queries = {queries!r}\n"
-        "serial = SkylineDatabase(points)\n"
-        "chunked = SkylineDatabase(points, "
-        "build_options=BuildOptions(chunk_rows=2))\n"
+        + serial_line
+        + "chunked = SkylineDatabase(points, "
+        "build_options=BuildOptions(executor='serial', chunk_rows=2))\n"
         "assert serial.query_batch(queries, kind={kind!r}) == "
         "chunked.query_batch(queries, kind={kind!r})"
     )
 
     def chunked(kind: str) -> Check:
         def check(points: Points) -> tuple[object, object]:
-            serial_db = SkylineDatabase(points)
+            serial_db = SkylineDatabase(
+                points, build_options=serial_options
+            )
             chunked_db = SkylineDatabase(
                 points, build_options=chunked_options
             )
@@ -953,8 +965,8 @@ def _runtime_checks(
         "from repro.diagram.pipeline import BuildOptions\n"
         "from repro.index.engine import SkylineDatabase\n"
         f"queries = {queries!r}\n"
-        "serial = SkylineDatabase(points)\n"
-        "vector = SkylineDatabase(points, "
+        + serial_line
+        + "vector = SkylineDatabase(points, "
         "build_options=BuildOptions(executor='vectorized'))\n"
         "assert serial.query_batch(queries, kind={kind!r}) == "
         "vector.query_batch(queries, kind={kind!r})"
@@ -962,7 +974,9 @@ def _runtime_checks(
 
     def vectorized(kind: str) -> Check:
         def check(points: Points) -> tuple[object, object]:
-            serial_db = SkylineDatabase(points)
+            serial_db = SkylineDatabase(
+                points, build_options=serial_options
+            )
             vector_db = SkylineDatabase(points, build_options=vector_options)
             return (
                 serial_db.query_batch(queries, kind=kind),

@@ -243,10 +243,10 @@ class SkylineDatabase:
         ``min(cap, base * 2**(attempts - 1))``.
     build_options:
         A :class:`~repro.diagram.pipeline.BuildOptions` threaded into
-        every diagram construction — row executor (serial or process
-        pool), chunking and telemetry sink.  Executors never change the
-        built diagram (sharded builds are byte-identical), only how the
-        construction runs.
+        every diagram construction — row executor (vectorized by
+        default, serial or process pool), chunking and telemetry sink.
+        Executors never change the built diagram (every executor is
+        byte-identical to serial), only how the construction runs.
     metrics:
         A :class:`~repro.query.metrics.MetricsRegistry` to aggregate
         query telemetry into (one is created when omitted).  Pass a

@@ -340,9 +340,10 @@ def _scenario_parallel_consistency(
     rng, max_points, workdir, options=None, metrics=None
 ) -> None:
     points = _generate_points(rng, max_points)
-    chunked = BuildOptions(chunk_rows=rng.choice((1, 2, 3)))
+    serial_options = BuildOptions(executor="serial")
+    chunked = BuildOptions(executor="serial", chunk_rows=rng.choice((1, 2, 3)))
     for build in (quadrant_scanning, dynamic_scanning):
-        serial = build(points)
+        serial = build(points, build_options=serial_options)
         sharded = build(points, build_options=chunked)
         assert serial.store == sharded.store, (
             f"{build.__name__} chunked build diverged from serial"
@@ -375,7 +376,9 @@ def _scenario_vectorized_executor(
     vector = BuildOptions(
         executor="vectorized", chunk_rows=rng.choice((None, 1, 2, 3))
     )
-    serial = quadrant_scanning(points)
+    serial = quadrant_scanning(
+        points, build_options=BuildOptions(executor="serial")
+    )
     vectorized = quadrant_scanning(points, build_options=vector)
     assert vectorized.build_report.executor == "vectorized", (
         vectorized.build_report

@@ -64,7 +64,7 @@ class TestBackendConformance:
 
     def test_vectorized_native_rle_matches_serial(self):
         serial = quadrant_scanning(
-            POINTS, build_options=BuildOptions(backend="rle")
+            POINTS, build_options=BuildOptions(executor="serial", backend="rle")
         )
         vector = quadrant_scanning(
             POINTS,

@@ -40,6 +40,10 @@ from repro.errors import BudgetExceededError
 from repro.index.engine import SkylineDatabase
 from repro.resilience import BuildBudget
 
+#: The serial engine: the reference every other executor must reproduce
+#: byte for byte, and the one with per-row checkpoints and partials.
+SERIAL = BuildOptions(executor="serial")
+
 DATASETS = [
     generate("independent", n=12, dim=2, seed=7, domain=40),
     generate("anticorrelated", n=20, dim=2, seed=3, domain=60),
@@ -59,7 +63,7 @@ def _assert_same_store(a, b):
 class TestBuildOptions:
     def test_defaults(self):
         options = BuildOptions()
-        assert options.executor == "serial"
+        assert options.executor == "vectorized"
         assert options.workers is None
         assert options.chunk_rows is None
 
@@ -101,24 +105,30 @@ class TestExecutorIdentity:
     @pytest.mark.parametrize("points", DATASETS)
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
     def test_quadrant_chunked_serial(self, points, chunk_rows):
-        serial = quadrant_scanning(points)
+        serial = quadrant_scanning(points, build_options=SERIAL)
         sharded = quadrant_scanning(
-            points, build_options=BuildOptions(chunk_rows=chunk_rows)
+            points,
+            build_options=BuildOptions(
+                executor="serial", chunk_rows=chunk_rows
+            ),
         )
         _assert_same_store(serial, sharded)
 
     @pytest.mark.parametrize("points", DATASETS)
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
     def test_dynamic_chunked_serial(self, points, chunk_rows):
-        serial = dynamic_scanning(points)
+        serial = dynamic_scanning(points, build_options=SERIAL)
         sharded = dynamic_scanning(
-            points, build_options=BuildOptions(chunk_rows=chunk_rows)
+            points,
+            build_options=BuildOptions(
+                executor="serial", chunk_rows=chunk_rows
+            ),
         )
         _assert_same_store(serial, sharded)
 
     @pytest.mark.parametrize("points", DATASETS[:2])
     def test_quadrant_process_pool(self, points):
-        serial = quadrant_scanning(points)
+        serial = quadrant_scanning(points, build_options=SERIAL)
         pooled = quadrant_scanning(
             points,
             build_options=BuildOptions(executor="process", workers=2),
@@ -129,7 +139,7 @@ class TestExecutorIdentity:
 
     @pytest.mark.parametrize("points", DATASETS[:1])
     def test_dynamic_process_pool(self, points):
-        serial = dynamic_scanning(points)
+        serial = dynamic_scanning(points, build_options=SERIAL)
         pooled = dynamic_scanning(
             points,
             build_options=BuildOptions(executor="process", workers=2),
@@ -138,28 +148,28 @@ class TestExecutorIdentity:
 
     @pytest.mark.parametrize("points", DATASETS[:3])
     def test_global_chunked_matches_serial(self, points):
-        serial = global_diagram(points)
+        serial = global_diagram(points, build_options=SERIAL)
         sharded = global_diagram(
-            points, build_options=BuildOptions(chunk_rows=2)
+            points, build_options=BuildOptions(executor="serial", chunk_rows=2)
         )
         _assert_same_store(serial, sharded)
 
     @pytest.mark.parametrize("points", DATASETS[:2])
     def test_chunked_matches_reference_oracle(self, points):
         sharded = quadrant_scanning(
-            points, build_options=BuildOptions(chunk_rows=2)
+            points, build_options=BuildOptions(executor="serial", chunk_rows=2)
         )
         assert sharded == quadrant_scanning_reference(points)
 
     def test_checkpoint_accounting_parity(self):
         points = DATASETS[0]
         serial_meter = BuildBudget().start()
-        quadrant_scanning(points, budget=serial_meter)
+        quadrant_scanning(points, budget=serial_meter, build_options=SERIAL)
         sharded_meter = BuildBudget().start()
         quadrant_scanning(
             points,
             budget=sharded_meter,
-            build_options=BuildOptions(chunk_rows=2),
+            build_options=BuildOptions(executor="serial", chunk_rows=2),
         )
         assert sharded_meter.checkpoints == serial_meter.checkpoints
         assert sharded_meter.cells_done == serial_meter.cells_done
@@ -168,12 +178,12 @@ class TestExecutorIdentity:
     def test_dynamic_checkpoint_accounting_parity(self):
         points = DATASETS[1]
         serial_meter = BuildBudget().start()
-        dynamic_scanning(points, budget=serial_meter)
+        dynamic_scanning(points, budget=serial_meter, build_options=SERIAL)
         sharded_meter = BuildBudget().start()
         dynamic_scanning(
             points,
             budget=sharded_meter,
-            build_options=BuildOptions(chunk_rows=3),
+            build_options=BuildOptions(executor="serial", chunk_rows=3),
         )
         assert sharded_meter.checkpoints == serial_meter.checkpoints
         assert sharded_meter.cells_done == serial_meter.cells_done
@@ -185,14 +195,16 @@ class TestExecutorIdentity:
             quadrant_scanning(
                 points,
                 budget=BuildBudget(max_cells=5),
-                build_options=BuildOptions(chunk_rows=1),
+                build_options=BuildOptions(executor="serial", chunk_rows=1),
             )
         assert info.value.partial is None
 
     def test_serial_budget_exhaustion_keeps_partial(self):
         points = DATASETS[1]
         with pytest.raises(BudgetExceededError) as info:
-            quadrant_scanning(points, budget=BuildBudget(max_cells=5))
+            quadrant_scanning(
+                points, budget=BuildBudget(max_cells=5), build_options=SERIAL
+            )
         assert info.value.partial is not None
 
 
@@ -221,9 +233,12 @@ class TestVectorizedExecutor:
     )
     @pytest.mark.parametrize("chunk_rows", [None, 1, 2, 3])
     def test_degenerate_byte_identity(self, points, chunk_rows):
-        serial = quadrant_scanning(points)
+        serial = quadrant_scanning(points, build_options=SERIAL)
         chunked = quadrant_scanning(
-            points, build_options=BuildOptions(chunk_rows=chunk_rows)
+            points,
+            build_options=BuildOptions(
+                executor="serial", chunk_rows=chunk_rows
+            ),
         )
         vectorized = quadrant_scanning(
             points,
@@ -237,7 +252,7 @@ class TestVectorizedExecutor:
 
     @pytest.mark.parametrize("points", DATASETS)
     def test_random_byte_identity(self, points):
-        serial = quadrant_scanning(points)
+        serial = quadrant_scanning(points, build_options=SERIAL)
         vectorized = quadrant_scanning(
             points, build_options=BuildOptions(executor="vectorized")
         )
@@ -245,7 +260,7 @@ class TestVectorizedExecutor:
 
     def test_checkpoint_accounting_parity(self):
         points = DATASETS[0]
-        serial = quadrant_scanning(points)
+        serial = quadrant_scanning(points, build_options=SERIAL)
         vectorized = quadrant_scanning(
             points,
             build_options=BuildOptions(executor="vectorized", chunk_rows=3),
@@ -267,7 +282,7 @@ class TestVectorizedExecutor:
 
     def test_fallback_is_honest(self):
         points = DATASETS[0]
-        serial = dynamic_scanning(points)
+        serial = dynamic_scanning(points, build_options=SERIAL)
         fallback = dynamic_scanning(
             points, build_options=BuildOptions(executor="vectorized")
         )
@@ -278,7 +293,7 @@ class TestVectorizedExecutor:
         from repro.resilience import CoverageMiss
 
         points = DEGENERATE_DATASETS["boundary-heavy"]
-        serial = quadrant_scanning(points)
+        serial = quadrant_scanning(points, build_options=SERIAL)
         sx, sy = serial.store.shape
         # Allow exactly one 2-row block of cells: the second block's
         # checkpoint must trip, and the partial must cover a whole
@@ -331,7 +346,7 @@ class TestVectorizedExecutor:
         assert isinstance(store._table, list)
         assert table == per_id
         assert len(table) == distinct
-        serial = quadrant_scanning(points)
+        serial = quadrant_scanning(points, build_options=SERIAL)
         assert table == serial.store.table
 
 
@@ -380,7 +395,7 @@ class TestGlobalPerRowCharge:
 
 class TestBuildReport:
     def test_report_contents(self):
-        diagram = quadrant_scanning(DATASETS[0])
+        diagram = quadrant_scanning(DATASETS[0], build_options=SERIAL)
         report = diagram.build_report
         assert isinstance(report, BuildReport)
         assert report.algorithm == "scanning"
@@ -498,7 +513,8 @@ class TestInterner:
 class TestEngineIntegration:
     def test_database_threads_build_options(self):
         db = SkylineDatabase(
-            DATASETS[3], build_options=BuildOptions(chunk_rows=2)
+            DATASETS[3],
+            build_options=BuildOptions(executor="serial", chunk_rows=2),
         )
         answer = db.query_annotated((1.0, 2.0), kind="quadrant")
         assert answer.served_from == "diagram"
@@ -510,7 +526,7 @@ class TestEngineIntegration:
         )
 
     def test_health_surfaces_reports(self):
-        db = SkylineDatabase(DATASETS[3])
+        db = SkylineDatabase(DATASETS[3], build_options=SERIAL)
         db.query((1.0, 2.0), kind="quadrant")
         health = db.health()
         entry = health["builds"]["quadrant:0"]
@@ -533,15 +549,17 @@ class TestCli:
         out = tmp_path / "chunked.json"
         assert main(
             [
-                "build", str(csv), str(out),
-                "--kind", "quadrant", "--chunk-rows", "2",
+                "build", str(csv), str(out), "--kind", "quadrant",
+                "--executor", "serial", "--chunk-rows", "2",
             ]
         ) == 0
         stdout = capsys.readouterr().out
         assert "executor: serial" in stdout
         assert "row_scan" in stdout
         plain = tmp_path / "serial.json"
-        assert main(["build", str(csv), str(plain)]) == 0
+        assert main(
+            ["build", str(csv), str(plain), "--executor", "serial"]
+        ) == 0
         assert out.read_bytes() == plain.read_bytes()
 
     def test_build_executor_flag(self, tmp_path, capsys):
@@ -556,7 +574,9 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "executor: vectorized" in stdout
         plain = tmp_path / "serial.json"
-        assert main(["build", str(csv), str(plain)]) == 0
+        assert main(
+            ["build", str(csv), str(plain), "--executor", "serial"]
+        ) == 0
         # The binary payload keeps each build's native table encoding
         # (cons forest vs CSR), so byte identity is asserted on the
         # diagrams, not the files.
@@ -572,3 +592,95 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["build", "x.csv", "y.json", "--executor", "threads"])
+
+
+class TestVectorizedDefault:
+    """Default builds run the vectorized engine and match serial byte for byte."""
+
+    def test_serve_data_default_build(self):
+        # The benchmark's serve workload: anticorrelated n=1000.
+        points = generate("anticorrelated", n=1000, dim=2, seed=1)
+        default = quadrant_scanning(points)
+        serial = quadrant_scanning(points, build_options=SERIAL)
+        assert default.build_report.executor == "vectorized"
+        assert serial.build_report.executor == "serial"
+        assert default.store.fingerprint() == serial.store.fingerprint()
+
+    def test_default_global_diagram_reports_vectorized(self):
+        points = generate("independent", n=200, dim=2, seed=5)
+        default = global_diagram(points)
+        serial = global_diagram(points, build_options=SERIAL)
+        assert default.build_report.executor == "vectorized"
+        assert serial.build_report.executor == "serial"
+        assert default.store.fingerprint() == serial.store.fingerprint()
+
+    def test_flagless_cli_build_writes_forest_snapshot(self, tmp_path, capsys):
+        import random
+
+        from repro.cli import main
+        from repro.index.serialize import _v3_meta, map_diagram, verify_envelope
+
+        points = generate("anticorrelated", n=300, dim=2, seed=4)
+        csv = tmp_path / "points.csv"
+        csv.write_text("".join(f"{x!r},{y!r}\n" for x, y in points))
+        default = tmp_path / "default.bin"
+        serial = tmp_path / "serial.bin"
+        assert main(["build", str(csv), str(default)]) == 0
+        assert main(
+            ["build", str(csv), str(serial), "--executor", "serial"]
+        ) == 0
+        capsys.readouterr()
+
+        def table_kind(path):
+            _, body, _ = verify_envelope(path.read_bytes())
+            return _v3_meta(body)[0]["table"]
+
+        assert table_kind(default) == "forest"
+        assert table_kind(serial) == "packed"
+        rng = random.Random(4)
+        xs = sorted({p[0] for p in points})
+        ys = sorted({p[1] for p in points})
+        lo, hi = min(xs + ys) - 0.1, max(xs + ys) + 0.1
+        queries = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(500)]
+        # Grid-line queries: on a point's x, on its y, and on both.
+        queries += [(rng.choice(xs), rng.uniform(lo, hi)) for _ in range(500)]
+        queries += [(rng.uniform(lo, hi), rng.choice(ys)) for _ in range(500)]
+        queries += [(rng.choice(xs), rng.choice(ys)) for _ in range(500)]
+        mapped_default, _ = map_diagram(str(default))
+        mapped_serial, _ = map_diagram(str(serial))
+        expected = mapped_serial.query_batch(queries)
+        assert mapped_default.query_batch(queries) == expected
+        assert [mapped_default.query(q) for q in queries] == expected
+        assert (
+            mapped_default.store.fingerprint()
+            == mapped_serial.store.fingerprint()
+        )
+
+    def test_backend_flag_keeps_the_default_executor(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.index.serialize import load_diagram
+
+        csv = tmp_path / "points.csv"
+        csv.write_text("2,8\n5,4\n9,1\n7,6\n")
+        out = tmp_path / "rle.bin"
+        assert main(["build", str(csv), str(out), "--backend", "rle"]) == 0
+        stdout = capsys.readouterr().out
+        assert "executor: vectorized" in stdout
+        # Native run emission: no dense build converted afterwards.
+        assert "  backend:" not in stdout
+        assert load_diagram(str(out)).store.backend_kind == "rle"
+
+    def test_parallel_flag_still_means_process(self):
+        import argparse
+
+        from repro.cli import _build_options
+
+        args = argparse.Namespace(
+            executor=None, parallel=2, chunk_rows=None, backend=None
+        )
+        options = _build_options(args)
+        assert options.executor == "process"
+        assert options.workers == 2
+        args.parallel = None
+        args.chunk_rows = 4
+        assert _build_options(args).executor == "vectorized"

@@ -106,7 +106,9 @@ class TestFusedScalarLookup:
         assert singles == diagram.query_batch(queries)
 
     def test_fused_on_vectorized_built_diagram(self):
-        serial = quadrant_scanning(POINTS)
+        serial = quadrant_scanning(
+            POINTS, build_options=BuildOptions(executor="serial")
+        )
         vectorized = quadrant_scanning(
             POINTS, build_options=BuildOptions(executor="vectorized")
         )

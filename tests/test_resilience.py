@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.diagram.dynamic_scanning import dynamic_scanning
+from repro.diagram.pipeline import BuildOptions
 from repro.diagram.quadrant_scanning import quadrant_scanning
 from repro.errors import (
     AuditError,
@@ -21,6 +22,10 @@ from repro.resilience import (
     as_meter,
 )
 from repro.testing.faults import SteppingClock, crash_build_after
+
+#: Per-row budget checkpoints (and so per-row partials) are the serial
+#: engine's; the default vectorized engine checkpoints per row block.
+SERIAL = BuildOptions(executor="serial")
 
 
 class TestBuildBudget:
@@ -75,7 +80,11 @@ class TestBuilderBudgets:
 
     def test_quadrant_scanning_partial(self):
         with pytest.raises(BudgetExceededError) as info:
-            quadrant_scanning(self.POINTS, budget=BuildBudget(max_cells=6))
+            quadrant_scanning(
+                self.POINTS,
+                budget=BuildBudget(max_cells=6),
+                build_options=SERIAL,
+            )
         partial = info.value.partial
         assert isinstance(partial, PartialDiagram)
         assert 0 < partial.coverage < 1
@@ -101,7 +110,11 @@ class TestBuilderBudgets:
 
     def test_partial_miss_outside_covered_rows(self):
         with pytest.raises(BudgetExceededError) as info:
-            quadrant_scanning(self.POINTS, budget=BuildBudget(max_cells=6))
+            quadrant_scanning(
+                self.POINTS,
+                budget=BuildBudget(max_cells=6),
+                build_options=SERIAL,
+            )
         with pytest.raises(CoverageMiss):
             info.value.partial.query((0.0, 0.0))  # bottom row never built
 
@@ -174,7 +187,11 @@ class TestDegradationLadder:
         assert db.health()["builds"]["quadrant:0"]["partial_coverage"] > 0
 
     def test_diagram_tier_when_budget_suffices(self):
-        db = SkylineDatabase(self.POINTS, budget=BuildBudget(max_cells=10**6))
+        db = SkylineDatabase(
+            self.POINTS,
+            budget=BuildBudget(max_cells=10**6),
+            build_options=SERIAL,
+        )
         answer = db.query_annotated((1.0, 2.0), kind="quadrant")
         assert (answer.result, answer.served_from, answer.key) == (
             (0, 1),

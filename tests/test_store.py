@@ -256,7 +256,72 @@ class TestConsForestTable:
         lazy = [store.result_tuple(rid) for rid in range(distinct)]
         assert store.table == lazy  # property access materializes
         assert isinstance(store._table, list)
-        assert store == quadrant_scanning(points).store
+        serial = BuildOptions(executor="serial")
+        assert store == quadrant_scanning(points, build_options=serial).store
+
+
+class TestLazyBatchRead:
+    """``results(ids)`` reads the per-id cache; only misses are built."""
+
+    POINTS = [
+        (2.0, 8.0), (5.0, 4.0), (9.0, 1.0), (5.0, 4.0), (1.0, 9.5),
+        (3.0, 6.0), (7.0, 2.5), (4.0, 5.0), (8.0, 3.0), (6.0, 3.5),
+    ]
+
+    def _tables(self):
+        from repro.diagram.pipeline import BuildOptions
+        from repro.diagram.store import ConsForestTable, PackedTable
+
+        store = quadrant_scanning(
+            self.POINTS, build_options=BuildOptions(executor="vectorized")
+        ).store
+        forest = store._table
+        assert type(forest) is ConsForestTable
+        entries = forest.materialize()
+        lengths = [len(entry) for entry in entries]
+        offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        values = np.asarray(
+            [pid for entry in entries for pid in entry], dtype=np.int64
+        )
+        return entries, {
+            "forest": lambda: ConsForestTable(
+                forest._rep, forest._par, forest._groups
+            ),
+            "packed": lambda: PackedTable(offsets, values),
+        }
+
+    @pytest.mark.parametrize("kind", ["forest", "packed"])
+    def test_cold_warm_and_mixed_batches(self, kind):
+        entries, makers = self._tables()
+        make = makers[kind]
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, len(entries), size=200).tolist()
+        ids += [0, len(entries) - 1, 0]
+        expected = [entries[rid] for rid in ids]
+        per_id = make()
+        assert [per_id.result(rid) for rid in ids] == expected
+        cold = make()
+        assert cold.results(ids) == expected  # nothing cached yet
+        assert cold.results(ids) == expected  # every id cached now
+        mixed = make()
+        for rid in ids[::3]:
+            mixed.result(rid)  # cache a third of the ids
+        assert mixed.results(ids) == expected
+        assert mixed.results([]) == []
+
+    def test_lookup_batch_keeps_the_table_lazy(self):
+        from repro.diagram.pipeline import BuildOptions
+        from repro.diagram.store import ConsForestTable
+
+        diagram = quadrant_scanning(
+            self.POINTS, build_options=BuildOptions(executor="vectorized")
+        )
+        serial = quadrant_scanning(
+            self.POINTS, build_options=BuildOptions(executor="serial")
+        )
+        queries = [(x + 0.5, y + 0.5) for x in range(10) for y in range(10)]
+        assert diagram.query_batch(queries) == serial.query_batch(queries)
+        assert type(diagram.store._table) is ConsForestTable
 
 
 class TestLazyFingerprint:
